@@ -251,7 +251,7 @@ class MpiRuntime:
         self.world_session = Session(self, thread_level, internal=True)
         self.sessions.append(self.world_session)
 
-        world_group = Group(self.job.all_procs)
+        world_group = Group(self.job.world)
         self.COMM_WORLD = Communicator(
             self, world_group, self.CID_WORLD, name="MPI_COMM_WORLD",
             session=self.world_session,
@@ -371,7 +371,7 @@ class MpiRuntime:
                        "ompi.comm.create_from_group", stringtag=stringtag,
                        nprocs=group.size)
         try:
-            pgcid = yield from self.pmix.group_construct(gid, list(group.members()))
+            pgcid = yield from self.pmix.group_construct(gid, group.membership())
         except PmixError as err:
             tr.end(self.engine.now, sid)
             if err.status in (PMIX_ERR_PROC_ABORTED, PMIX_ERR_TIMEOUT):

@@ -134,20 +134,21 @@ class Session:
         return list(BUILTIN_PSETS) + names
 
     def _pset_members(self, name: str):
+        """Sub-generator: the members of pset ``name``.  World, shared
+        and registry sets come back as the membership their owner
+        resolved once (shared by every rank), not as a copy."""
         job = self.runtime.job
         if name == "mpi://world":
-            members = list(job.all_procs)
+            members = job.world
         elif name == "mpi://self":
-            members = [self.runtime.proc]
+            members = (self.runtime.proc,)
         elif name == "mpi://shared":
-            local = job.topology.ranks_on_node(self.runtime.node)
-            members = [job.proc(r) for r in local]
+            members = job.node_members(self.runtime.node)
         else:
             try:
                 members = yield from self.runtime.pmix.pset_membership(name)
             except PmixError:
                 raise MPIErrArg(f"unknown process set {name!r}") from None
-            members = list(members)
         if self._failed_excluded:
             failed = getattr(self.runtime, "failed_procs", set())
             members = [p for p in members if p not in failed]

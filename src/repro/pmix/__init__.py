@@ -31,10 +31,12 @@ from repro.pmix.types import (
     PMIX_GROUP_LEADER,
     PMIX_GROUP_NOTIFY_TERMINATION,
 )
+from repro.pmix.membership import Membership
 from repro.pmix.client import PmixClient
 from repro.pmix.server import PmixServer
 
 __all__ = [
+    "Membership",
     "PmixProc",
     "PmixStatus",
     "PmixError",

@@ -9,10 +9,12 @@ client.fence(...)`` inside a simulated process.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional
 
+from repro.pmix.membership import Membership
 from repro.pmix.server import PmixServer
 from repro.pmix.types import (
+    PMIX_ERR_BAD_PARAM,
     PMIX_ERR_NOT_FOUND,
     PMIX_ERR_PROC_ABORTED,
     PMIX_ERR_TIMEOUT,
@@ -98,28 +100,19 @@ class PmixClient:
 
     # -- collectives ---------------------------------------------------------------
     @staticmethod
-    def _member_key(participants) -> Hashable:
-        """Cheap membership fingerprint for collective signatures.
+    def _participants(procs: Iterable[PmixProc]) -> Membership:
+        """The canonical membership of a collective's ``procs``.
 
-        Avoids hashing the full (possibly huge) participant tuple on
-        every operation.  Two *concurrent* collectives collide only if
-        they share kind, extra id, count, endpoints, and rank sum — and
-        MPI/PMIx ordering rules already forbid the overlapping cases.
+        A :class:`Membership` passes through untouched (the MPI layer
+        hands down the one its group shares); any other iterable is
+        sorted and checked once here.  Its :attr:`~Membership.key` is
+        the exact participant identity every signature is keyed on.
         """
-        n = len(participants)
-        ranksum = 0
-        for p in participants:
-            ranksum += p.rank
-        return (n, participants[0], participants[-1], ranksum)
-
-    @staticmethod
-    def _ordered(procs) -> Tuple[PmixProc, ...]:
-        """Participants in canonical order (fast path: already sorted)."""
-        procs = tuple(procs)
-        for i in range(len(procs) - 1):
-            if procs[i + 1] < procs[i]:
-                return tuple(sorted(procs))
-        return procs
+        try:
+            return Membership(procs)
+        except ValueError:
+            raise PmixError(PMIX_ERR_BAD_PARAM,
+                            "collective participants must be distinct") from None
 
     def _next_sig(self, kind: str, member_key: Hashable, extra: Hashable = None) -> Hashable:
         key = (kind, member_key, extra)
@@ -133,9 +126,8 @@ class PmixClient:
         list — servers resolve membership from the job map.
         """
         if procs:
-            participants = self._ordered(procs)
-            member_key: Hashable = self._member_key(participants)
-            send_participants: Optional[list] = list(participants)
+            send_participants: Optional[Membership] = self._participants(procs)
+            member_key: Hashable = send_participants.key
         else:
             member_key = ("ns-all", self.proc.nspace)
             send_participants = None
@@ -174,10 +166,10 @@ class PmixClient:
         survivors prune the same procs.
         """
         if procs:
-            members = list(self._ordered(procs))
+            members = self._participants(procs)
         else:
             rank_map = self.server.job_maps[self.proc.nspace]
-            members = [PmixProc(self.proc.nspace, r) for r in sorted(rank_map)]
+            members = Membership(PmixProc(self.proc.nspace, r) for r in sorted(rank_map))
         tr = self.engine.tracer
         last: Optional[PmixError] = None
         for attempt in range(max_attempts):
@@ -188,7 +180,7 @@ class PmixClient:
                 if err.status == PMIX_ERR_PROC_ABORTED:
                     dead = set(err.failed_procs)
                     if dead:
-                        members = [p for p in members if p not in dead]
+                        members = Membership(p for p in members if p not in dead)
                         if self.proc not in members:
                             raise
                 elif err.status != PMIX_ERR_TIMEOUT:
@@ -216,10 +208,10 @@ class PmixClient:
         ``PmixError(PMIX_ERR_TIMEOUT)``.
         """
         directives = info_dict(directives)
-        participants = self._ordered(procs)
+        participants = self._participants(procs)
         if self.proc not in participants:
             raise PmixError(PMIX_ERR_NOT_FOUND, f"{self.proc} not in group {gid!r}")
-        sig = self._next_sig("grp", self._member_key(participants), gid)
+        sig = self._next_sig("grp", participants.key, gid)
         tr = self.engine.tracer
         sid = tr.begin(self.engine.now, self.obs_track, "pmix.client.group_construct",
                        gid=gid, nprocs=len(participants))
@@ -228,7 +220,7 @@ class PmixClient:
         if tr.enabled:
             tr.flow("pmix.rpc.group", self.obs_track, t_req,
                     track_for_daemon(self.server.node), self.engine.now)
-        ev = self.server.group_construct_arrive(sig, gid, self.proc, list(participants), directives)
+        ev = self.server.group_construct_arrive(sig, gid, self.proc, participants, directives)
         timeout = directives.get(PMIX_TIMEOUT)
         try:
             result = yield Wait(ev, timeout=timeout)
@@ -243,13 +235,13 @@ class PmixClient:
 
     def group_destruct(self, gid: str, procs: List[PmixProc], timeout: Optional[float] = None):
         """PMIx_Group_destruct (collective)."""
-        participants = self._ordered(procs)
-        sig = self._next_sig("grpdel", self._member_key(participants), gid)
+        participants = self._participants(procs)
+        sig = self._next_sig("grpdel", participants.key, gid)
         tr = self.engine.tracer
         sid = tr.begin(self.engine.now, self.obs_track, "pmix.client.group_destruct",
                        gid=gid, nprocs=len(participants))
         yield Sleep(self.machine.local_rpc_cost)
-        ev = self.server.group_destruct_arrive(sig, gid, self.proc, list(participants))
+        ev = self.server.group_destruct_arrive(sig, gid, self.proc, participants)
         try:
             yield Wait(ev, timeout=timeout)
         except SimTimeout:

@@ -18,6 +18,7 @@ PMIX_ERR_INVALID_OPERATION = -13
 PMIX_ERR_PROC_TERMINATED = -22
 PMIX_ERR_LOST_CONNECTION = -25
 PMIX_ERR_PROC_ABORTED = -26
+PMIX_ERR_BAD_PARAM = -27
 
 _STATUS_NAMES = {
     PMIX_SUCCESS: "PMIX_SUCCESS",
@@ -27,6 +28,7 @@ _STATUS_NAMES = {
     PMIX_ERR_PROC_TERMINATED: "PMIX_ERR_PROC_TERMINATED",
     PMIX_ERR_LOST_CONNECTION: "PMIX_ERR_LOST_CONNECTION",
     PMIX_ERR_PROC_ABORTED: "PMIX_ERR_PROC_ABORTED",
+    PMIX_ERR_BAD_PARAM: "PMIX_ERR_BAD_PARAM",
 }
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Optional
 
+from repro.pmix.datastore import Contributions
 from repro.simtime.primitives import SimEvent
 from repro.simtime.trace import track_for_daemon
 
@@ -251,9 +252,9 @@ class GrpcommModule:
         children = self._children(inst)
         if any(ch not in inst.child_payloads for ch in children):
             return
-        combined: Dict = dict(inst.contribution)
+        combined = Contributions(inst.contribution)
         for ch in children:
-            combined.update(inst.child_payloads[ch])
+            combined.merge(inst.child_payloads[ch])
         inst.up_sent = True
         parent = self._parent(inst)
         if parent is None:
@@ -307,10 +308,11 @@ class GrpcommModule:
 
     # -- flat mechanics ------------------------------------------------------
     def _flat_broadcast(self, inst: _Instance) -> None:
+        data = Contributions(inst.contribution)
         for node in inst.participants:
             if node != self.daemon.node:
                 payload = {"sig": inst.sig, "from_node": self.daemon.node,
-                           "data": inst.contribution}
+                           "data": data}
                 if self.recovery:
                     payload["parts"] = list(inst.participants)
                 self.daemon.send(node, "grpcomm_flat", payload)
@@ -322,9 +324,9 @@ class GrpcommModule:
         others = [n for n in inst.participants if n != self.daemon.node]
         if any(n not in inst.flat_received for n in others):
             return
-        combined: Dict = dict(inst.contribution or {})
+        combined = Contributions(inst.contribution or {})
         for data in inst.flat_received.values():
-            combined.update(data)
+            combined.merge(data)
         if inst.need_context_id:
             # Flat mode still needs one authoritative PGCID: the lowest
             # participant asks the HNP and redistributes.
@@ -361,7 +363,7 @@ class GrpcommModule:
 
     # -- shared ---------------------------------------------------------------
     def _single_node_complete(self, inst: _Instance) -> None:
-        combined = dict(inst.contribution or {})
+        combined = Contributions(inst.contribution or {})
         inst.child_payloads["__combined__"] = combined
         if inst.need_context_id:
             self._root_complete(inst, combined)

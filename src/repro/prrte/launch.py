@@ -13,6 +13,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.machine.topology import Topology
 from repro.pmix.client import PmixClient
+from repro.pmix.membership import Membership
 from repro.pmix.types import PMIX_JOB_SIZE, PMIX_LOCAL_PEERS, PMIX_UNIV_SIZE, PmixProc
 from repro.prrte.dvm import DVM
 from repro.prrte.psets import PsetRegistry
@@ -40,6 +41,10 @@ class Job:
         self._procs = tuple(
             PmixProc(self.nspace, r) for r in range(self.topology.num_ranks)
         )
+        # The canonical membership of ``mpi://world`` and of each node's
+        # ``mpi://shared``: resolved once here, shared by every rank.
+        self.world = Membership(self._procs)
+        self._node_sets: Dict[int, Membership] = {}
 
     @property
     def num_ranks(self) -> int:
@@ -51,6 +56,14 @@ class Job:
 
     def proc(self, rank: int) -> PmixProc:
         return self._procs[rank]
+
+    def node_members(self, node: int) -> Membership:
+        """The membership of the job's ranks on ``node``."""
+        members = self._node_sets.get(node)
+        if members is None:
+            members = self._node_sets[node] = Membership(
+                self._procs[r] for r in self.topology.ranks_on_node(node))
+        return members
 
     def client(self, rank: int) -> PmixClient:
         return self.clients[rank]

@@ -10,11 +10,24 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.pmix.membership import Membership
 from repro.pmix.types import PmixProc
 
 
+def _resolve(members: Tuple[PmixProc, ...]) -> Tuple[PmixProc, ...]:
+    """The canonical :class:`Membership` of a set defined in sorted
+    order (every lookup then shares it); a set defined in another order
+    keeps that order as a plain tuple."""
+    canonical = Membership(members)
+    return canonical if canonical == members else members
+
+
 class PsetRegistry:
-    """Name -> ordered tuple of :class:`PmixProc` members."""
+    """Name -> ordered tuple of :class:`PmixProc` members.
+
+    A set listed in canonical (nspace, rank) order is stored as its
+    shared :class:`Membership`, resolved once at definition.
+    """
 
     def __init__(self) -> None:
         self._sets: Dict[str, Tuple[PmixProc, ...]] = {}
@@ -25,10 +38,10 @@ class PsetRegistry:
             raise ValueError("process set name must be non-empty")
         if name in self._sets:
             raise ValueError(f"process set {name!r} already defined")
-        members = tuple(members)
-        if len(set(members)) != len(members):
-            raise ValueError(f"process set {name!r} has duplicate members")
-        self._sets[name] = members
+        try:
+            self._sets[name] = _resolve(tuple(members))
+        except ValueError:
+            raise ValueError(f"process set {name!r} has duplicate members") from None
 
     def undefine(self, name: str) -> None:
         self._sets.pop(name, None)
@@ -39,11 +52,13 @@ class PsetRegistry:
         Returns the names of the sets that changed.  Sets may become
         empty but keep their names — queries stay answerable and all
         servers (which share this registry) see the same membership.
+        A changed set gets a new membership object: collectives keyed
+        on the old one are not mistaken for ones over the survivors.
         """
         changed = []
         for name, members in self._sets.items():
             if proc in members:
-                self._sets[name] = tuple(p for p in members if p != proc)
+                self._sets[name] = _resolve(tuple(p for p in members if p != proc))
                 changed.append(name)
         return changed
 

@@ -50,6 +50,21 @@ class DeadlockError(SimulationError):
     event is scheduled — every remaining process is blocked forever."""
 
 
+def _deadlock_report(now: float, live) -> str:
+    """The :class:`DeadlockError` message: the blocked processes by name,
+    then, for the first ten, what each one waits on."""
+    procs = sorted(live, key=lambda p: getattr(p, "name", "?"))
+    names = [getattr(p, "name", "?") for p in procs]
+    shown = ", ".join(names[:10]) + (" …" if len(names) > 10 else "")
+    lines = [f"simulation deadlock: {len(procs)} process(es) "
+             f"blocked forever at t={now}: {shown}"]
+    for name, proc in zip(names[:10], procs):
+        blocked_on = getattr(proc, "blocked_on", None)
+        if blocked_on is not None:
+            lines.append(f"  {name} waits on {blocked_on()}")
+    return "\n".join(lines)
+
+
 class _Canceled:
     """Sentinel stored in place of a callback when a timer is canceled."""
 
@@ -308,12 +323,7 @@ class Engine:
             if until is not None and until > self._now:
                 self._now = until
             if detect_deadlock and self._live and until is None:
-                names = sorted(getattr(p, "name", "?") for p in self._live)
-                shown = ", ".join(names[:10]) + (" …" if len(names) > 10 else "")
-                raise DeadlockError(
-                    f"simulation deadlock: {len(self._live)} process(es) "
-                    f"blocked forever at t={self._now}: {shown}"
-                )
+                raise DeadlockError(_deadlock_report(self._now, self._live))
             return self._now
         finally:
             self._running = False

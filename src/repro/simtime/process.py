@@ -200,6 +200,14 @@ class SimProcess:
     def finished(self) -> bool:
         return self._finished
 
+    def blocked_on(self) -> str:
+        """What this process is suspended on, for deadlock reports."""
+        event = self._waiting_on
+        if event is None:
+            return "no event the engine tracks"
+        describe = getattr(event, "describe", None)
+        return describe() if describe is not None else "an event nobody triggers"
+
     def defuse(self) -> None:
         """Mark this process's failure as handled (suppresses fail-fast)."""
         self._defused = True

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.pmix.datastore import Datastore, _value_size
+from repro.pmix.datastore import Contributions, Datastore, _value_size
 from repro.pmix.types import (
+    ABORTED_MARKER,
     PMIX_ERR_TIMEOUT,
     PMIX_RANK_WILDCARD,
     PMIX_SUCCESS,
@@ -147,3 +148,31 @@ class TestValueSize:
     )
     def test_sizes(self, value, minimum):
         assert _value_size(value) >= minimum
+
+
+class TestContributions:
+    """Collective data carries a wire size equal to a fresh measurement."""
+
+    @staticmethod
+    def _part(ranks, value=None):
+        return Contributions({PmixProc("j", r): value or {"ep": f"ep-{r}"}
+                              for r in ranks})
+
+    def test_wire_matches_measurement(self):
+        part = self._part([3, 1])
+        assert part.wire == _value_size(dict(part))
+        assert _value_size({"data": part}) == _value_size({"data": dict(part)})
+
+    def test_disjoint_merge_sums_sizes(self):
+        merged = self._part([0, 1])
+        merged.merge(self._part([2, 3, 4]))
+        assert merged.wire == _value_size(dict(merged))
+        assert list(merged) == [PmixProc("j", r) for r in range(5)]
+
+    def test_overlapping_merge_measures_again(self):
+        merged = self._part([0, 1])
+        merged.merge(Contributions({PmixProc("j", 1): ABORTED_MARKER,
+                                    PmixProc("j", 2): ABORTED_MARKER}))
+        assert merged.wire == _value_size(dict(merged))
+        assert merged.aborted() == (PmixProc("j", 1), PmixProc("j", 2))
+        assert merged.procs() == tuple(PmixProc("j", r) for r in range(3))

@@ -44,3 +44,37 @@ def test_twomesh_deterministic():
         l0_compute=50e-6, l1_compute=1e-3, halo_bytes=512, workers_per_node=1,
     )
     assert run_twomesh(p, use_sessions=True) == run_twomesh(p, use_sessions=True)
+
+
+_FIG3_TRACE_SHA = """
+import hashlib
+from repro.obs.export import chrome_trace, dumps
+from repro.obs.scenarios import run_scenario
+run = run_scenario("fig3-init", nodes=16, ppn=16)
+print(hashlib.sha256(dumps(chrome_trace(run.tracer)).encode()).hexdigest())
+"""
+
+
+def test_fig3_trace_independent_of_hash_seed():
+    """The 256-rank Fig 3 Perfetto export is the same under different
+    ``PYTHONHASHSEED`` values: no output depends on set or identity
+    order (shared memberships, per-object caches)."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+    def trace_sha(hash_seed):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", _FIG3_TRACE_SHA], env=env,
+                             capture_output=True, text=True, check=True)
+        return out.stdout.strip()
+
+    first = trace_sha(1)
+    assert len(first) == 64
+    assert trace_sha(2) == first
